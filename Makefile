@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr native inline chowd sweep fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr inline chowd sweep fuzz trace clean
 
 all: build
 
@@ -59,19 +59,8 @@ incr:
 	$(GO) test ./internal/incr ./internal/front
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalRecompile' -benchtime 1x ./
 
-# Native-tier gate: the three-way differential suite (every engine test
-# compares fast and native against the reference oracle), the translation-
-# cache concurrency test under the race detector, and a one-iteration
-# smoke of the native benchmark rows (see DESIGN.md §11). Also exercised
-# by plain `make test` / `make race`; this target runs the native-specific
-# slice alone.
-native:
-	$(GO) test -run 'TestEngines|TestNative|TestXopNames|TestWallClockDeadline|TestDeadlinePartialStatsExact' ./internal/sim ./
-	$(GO) test -race -run 'TestNativeConcurrentRuns' -count=2 ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkSimNative' -benchtime 1x ./
-
 # Procedure-integrator gate: the inline pass unit tests, the inlined-corpus
-# slice (clean validator run across all modes, three-engine differential,
+# slice (clean validator run across all modes, fast/reference differential,
 # parallel/sequential determinism, the mode-C cycles-win acceptance bar and
 # the statefile mode-skew fallback) and a one-iteration smoke of the inline
 # on/off benchmark rows (see DESIGN.md §12). Also exercised by plain
@@ -118,12 +107,12 @@ fuzz:
 # incremental driver's and admission queue's concurrency run under the
 # detector), the incremental differential suite, the chowd end-to-end
 # gate, the convention-sweep gate, a one-iteration smoke of the compile,
-# incremental, simulator (all three engines), inliner, daemon-saturation
+# incremental, simulator (fast and reference engines), inliner, daemon-saturation
 # and convention benchmarks (via benchjson, which also refreshes the
 # $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr native inline chowd sweep benchjson
+ci: fmt-check vet build race incr inline chowd sweep benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

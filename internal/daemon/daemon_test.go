@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"chow88"
+	"chow88/internal/classify"
 )
 
 const fibSrc = `
@@ -173,6 +174,42 @@ func TestBadRequests(t *testing.T) {
 	}
 	if status, _, _ := getStatus(t, ts.URL+"/compile"); status != 405 {
 		t.Errorf("GET /compile = %d, want 405", status)
+	}
+}
+
+// TestRunEngines pins /run's engine names: the default and "fast" run the
+// predecoded engine, "reference" the oracle, and "native" (the retired
+// closure-threaded tier) is refused with the bad-engine class before
+// admission, so it never reaches a worker or the simulator.
+func TestRunEngines(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct{ engine, want string }{
+		{"", "fast"}, {"fast", "fast"}, {"reference", "reference"},
+	} {
+		status, _, r := postJSON(t, ts.URL+"/run", reqBody(t, Request{Source: fibSrc, Engine: c.engine}))
+		if status != 200 || !r.OK || r.Engine != c.want {
+			t.Errorf("engine %q: status %d, engine %q (resp %+v), want 200 on %s", c.engine, status, r.Engine, r, c.want)
+		}
+	}
+
+	before := s.obs.ReportSince(s.base)
+	status, _, r := postJSON(t, ts.URL+"/run", reqBody(t, Request{Source: fibSrc, Engine: "native"}))
+	if want := classify.HTTPStatus(classify.ExitBadEngine); status != want || r.OK || r.Error == nil || r.Error.Class != "bad-engine" {
+		t.Fatalf("engine native: status %d, error %+v, want %d bad-engine", status, r.Error, want)
+	}
+	if !strings.Contains(r.Error.Detail, "valid: fast, reference") {
+		t.Errorf("bad-engine detail %q does not list the valid engines", r.Error.Detail)
+	}
+	after := s.obs.ReportSince(s.base)
+	for name, want := range map[string]int64{
+		"daemon.bad_requests": 1,
+		"daemon.accepted":     0,
+		"sim.runs_fast":       0,
+		"sim.runs_reference":  0,
+	} {
+		if d := after.Counter(name) - before.Counter(name); d != want {
+			t.Errorf("%s moved by %d on a refused engine, want %d", name, d, want)
+		}
 	}
 }
 

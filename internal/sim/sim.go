@@ -5,17 +5,14 @@
 // stores; 12-cycle multiply; 35-cycle divide). It fills a pixie.Stats with
 // the trace counters as it runs.
 //
-// Three engines share the machine model, forming a ladder of increasing
-// speed. RunReference is the original per-instruction interpreter and the
-// oracle the others are tested against. The fast engine executes a
-// predecoded image: the program is translated once into a dense internal
-// ISA, basic blocks are discovered, and each block's statistics are
-// accumulated in one step per block entry (see predecode.go / fastvm.go).
-// The native engine — Run's default — further translates the predecoded
-// blocks into closure-threaded code with zero switch dispatch (see
-// nativevm.go / nativetrans.go). All three are bit-identical in Output,
-// Stats and InstrCounts, which the differential tests enforce;
-// Options.Engine pins a specific tier.
+// Two engines share the machine model. RunReference is the original
+// per-instruction interpreter and the oracle the other is tested against.
+// The fast engine — Run's default — executes a predecoded image: the
+// program is translated once into a dense internal ISA, basic blocks are
+// discovered, and each block's statistics are accumulated in one step per
+// block entry (see predecode.go / fastvm.go). Both are bit-identical in
+// Output, Stats and InstrCounts, which the differential tests enforce;
+// Options.Engine pins a specific engine.
 package sim
 
 import (
@@ -47,14 +44,12 @@ type Options struct {
 	// Profile records per-instruction execution counts in the result,
 	// enabling profile feedback to the register allocator.
 	Profile bool
-	// Engine pins an execution tier: "native" (closure-threaded, the
-	// default), "fast" (predecoded block dispatch) or "reference" (the
-	// per-instruction oracle). Empty selects the default ladder. A pinned
-	// block engine still degrades — to the fast engine when native
-	// translation declines, to the reference interpreter when the image
-	// fails static verification or the initial stack pointer is degenerate
-	// — with the reason on Result.FallbackReason. Unknown names make Run
-	// fail with ErrBadEngine.
+	// Engine pins an execution engine: "fast" (predecoded block dispatch,
+	// the default) or "reference" (the per-instruction oracle). Empty
+	// selects the default. The fast engine still degrades to the reference
+	// interpreter when the image fails static verification or the initial
+	// stack pointer is degenerate, with the reason on
+	// Result.FallbackReason. Unknown names make Run fail with ErrBadEngine.
 	Engine string
 }
 
@@ -62,13 +57,13 @@ type Options struct {
 var ErrBadEngine = errors.New("unknown engine")
 
 // ValidateEngine checks an Options.Engine value; the empty string (the
-// default ladder) is valid.
+// default engine) is valid.
 func ValidateEngine(name string) error {
 	switch name {
-	case "", "native", "fast", "reference":
+	case "", "fast", "reference":
 		return nil
 	}
-	return fmt.Errorf("%w %q (valid: native, fast, reference)", ErrBadEngine, name)
+	return fmt.Errorf("%w %q (valid: fast, reference)", ErrBadEngine, name)
 }
 
 const defaultMaxInstrs = int64(2_000_000_000)
@@ -99,14 +94,13 @@ type Result struct {
 	// InstrCounts holds per-code-index execution counts when Options.Profile
 	// was set (indexed like Program.Code).
 	InstrCounts []int64
-	// Engine names the engine that executed the run: "native" (the
-	// closure-threaded tier), "fast" (the predecoded block-batched engine)
-	// or "reference" (the per-instruction interpreter).
+	// Engine names the engine that executed the run: "fast" (the
+	// predecoded block-batched engine) or "reference" (the per-instruction
+	// interpreter).
 	Engine string
-	// FallbackReason explains a run that degraded below the requested
-	// tier — the static verification error or the degenerate initial stack
-	// pointer (reference fallbacks), or the declined native translation (a
-	// fast fallback). Empty when the requested tier ran or when the caller
+	// FallbackReason explains a fast run that degraded to the reference
+	// interpreter: the static verification error or the degenerate initial
+	// stack pointer. Empty when the requested engine ran or when the caller
 	// asked for the reference engine outright.
 	FallbackReason string
 	// Report carries the run's metrics window when an obs session is
@@ -265,13 +259,11 @@ func newMachine(p *mcode.Program, opts Options) *machine {
 }
 
 // Run executes the program from its startup stub on the selected engine
-// (Options.Engine; the closure-threaded native tier by default).
-// Degradation is always toward exactness, never a guess: images that fail
-// static verification — and degenerate configurations whose initial stack
-// pointer already sits below the data segment — take the reference
-// interpreter wholesale, and a native run whose translation declines takes
-// the fast engine. Every fallback surfaces its reason on
-// Result.FallbackReason.
+// (Options.Engine; the predecoded fast engine by default). Degradation is
+// always toward exactness, never a guess: images that fail static
+// verification — and degenerate configurations whose initial stack pointer
+// already sits below the data segment — take the reference interpreter
+// wholesale, with the reason on Result.FallbackReason.
 func Run(p *mcode.Program, opts Options) (*Result, error) {
 	if err := ValidateEngine(opts.Engine); err != nil {
 		return nil, err
@@ -300,31 +292,13 @@ func Run(p *mcode.Program, opts Options) (*Result, error) {
 			s.Add(obs.CSimRunsRef, 1)
 			s.Add(obs.CSimStackFallback, 1)
 			_, _, err = m.interpret(0, nil)
-		case opts.Engine == "fast":
+		default: // "" or "fast"
 			m.res.Engine = "fast"
 			s.Add(obs.CSimRunsFast, 1)
 			if s != nil {
 				m.superHits = make([]int64, numXops)
 			}
 			err = m.runFast(img)
-		default: // "" or "native"
-			nimg, nreason := nativeFor(p, img)
-			if nimg == nil {
-				m.res.Engine, m.res.FallbackReason = "fast", nreason
-				s.Add(obs.CSimRunsFast, 1)
-				s.Add(obs.CSimNativeFallback, 1)
-				if s != nil {
-					m.superHits = make([]int64, numXops)
-				}
-				err = m.runFast(img)
-			} else {
-				m.res.Engine = "native"
-				s.Add(obs.CSimRunsNative, 1)
-				if s != nil {
-					m.superHits = make([]int64, numXops)
-				}
-				err = m.runNative(img, nimg)
-			}
 		}
 	}
 	sp.End()

@@ -149,7 +149,7 @@ func TestWallClockDeadline(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		fn   func(*mcode.Program, Options) (*Result, error)
-	}{{"native", pinEngine("native")}, {"fast", pinEngine("fast")}, {"reference", RunReference}} {
+	}{{"fast", pinEngine("fast")}, {"reference", RunReference}} {
 		t.Run(run.name, func(t *testing.T) {
 			res, err := run.fn(p, Options{Deadline: time.Millisecond})
 			if !errors.Is(err, ErrDeadline) {
@@ -280,7 +280,6 @@ func TestDeadlinePartialStatsExact(t *testing.T) {
 		name string
 		run  func(*mcode.Program, Options) (*Result, error)
 	}{
-		{"native", pinEngine("native")},
 		{"fast", pinEngine("fast")},
 		{"reference", RunReference},
 	}
@@ -335,7 +334,7 @@ func TestDeadlinePartialStatsExact(t *testing.T) {
 }
 
 // pinEngine adapts Run to the (program, options) signature of the engine
-// tables above, with the named tier pinned via Options.Engine.
+// tables above, with the named engine pinned via Options.Engine.
 func pinEngine(engine string) func(*mcode.Program, Options) (*Result, error) {
 	return func(p *mcode.Program, o Options) (*Result, error) {
 		o.Engine = engine
