@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr inline chowd sweep fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet perfbench-check chaos incr inline chowd sweep fuzz trace clean
 
 all: build
 
@@ -41,6 +41,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+# The benchmark harness (perfbench/, see BENCHMARK.json) is its own module
+# with `replace chow88 => ../`, so `./...` above never compiles it. Vet it
+# (which type-checks every package against the root API) and run its pure
+# statistics tests, so a root API change that breaks the benchmark fails
+# here rather than at benchmark time.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./stats ./compare
+
 # Fault-injection differential suite: every registered injection point
 # against every suite program, plus the strict-mode and determinism checks
 # (see DESIGN.md §9). Also exercised by plain `make test`; this target runs
@@ -62,7 +70,7 @@ incr:
 # Procedure-integrator gate: the inline pass unit tests, the inlined-corpus
 # slice (clean validator run across all modes, fast/reference differential,
 # parallel/sequential determinism, the mode-C cycles-win acceptance bar and
-# the statefile mode-skew fallback) and a one-iteration smoke of the inline
+# the refusal of inlining with a statefile) and a one-iteration smoke of the inline
 # on/off benchmark rows (see DESIGN.md §12). Also exercised by plain
 # `make test`; this target runs the inlining slice alone.
 inline:
@@ -102,8 +110,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./
 	$(GO) test -run '^$$' -fuzz FuzzDaemonRequest -fuzztime $(FUZZTIME) ./
 
-# The gate every change must pass: formatting, vet, build, the race-enabled
-# test suite (./... includes the incr, front and daemon packages, so the
+# The gate every change must pass: formatting, vet, the perfbench compile
+# check, build, the race-enabled test suite (./... includes the incr, front and daemon packages, so the
 # incremental driver's and admission queue's concurrency run under the
 # detector), the incremental differential suite, the chowd end-to-end
 # gate, the convention-sweep gate, a one-iteration smoke of the compile,
@@ -112,7 +120,7 @@ fuzz:
 # $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr inline chowd sweep benchjson
+ci: fmt-check vet perfbench-check build race incr inline chowd sweep benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

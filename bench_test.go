@@ -106,7 +106,7 @@ func BenchmarkSim(b *testing.B) {
 }
 
 // BenchmarkSimProfile is BenchmarkSim with per-instruction profiling on —
-// the configuration every CompileProfiled training run pays for.
+// the configuration every profile-feedback training run pays for.
 func BenchmarkSimProfile(b *testing.B) {
 	benchSimEngines(b, sim.Options{Profile: true}, []string{"fast", "ref"})
 }
@@ -325,9 +325,9 @@ func BenchmarkInline(b *testing.B) {
 				var prog *Program
 				var err error
 				if variant == "on" {
-					prog, err = CompileInlined(p.Source, ModeC(), 0)
+					prog, err = compileInlined(p.Source, ModeC())
 				} else {
-					prog, err = CompileProfiled(p.Source, ModeC())
+					prog, err = compileProfiled(p.Source, ModeC())
 				}
 				if err != nil {
 					b.Fatalf("compile: %v", err)

@@ -18,7 +18,9 @@
 // statistics (cycles, scalar loads/stores, calls) from which the paper's
 // tables are regenerated.
 //
-// Quick start:
+// Quick start (Compile is the single-source shorthand for Build, which
+// also links separate units, trains profile feedback and reuses
+// incremental statefiles):
 //
 //	prog, err := chow88.Compile(src, chow88.ModeC())
 //	res, err := prog.Run()
@@ -30,8 +32,6 @@ import (
 
 	"chow88/internal/core"
 	"chow88/internal/explain"
-	"chow88/internal/front"
-	"chow88/internal/incr"
 	"chow88/internal/interp"
 	"chow88/internal/ir"
 	"chow88/internal/mcode"
@@ -87,106 +87,94 @@ type Program struct {
 	Inline *obs.InlineReport
 }
 
-// Compile compiles CW source under the given mode.
+// Request is one compilation: the source units, the mode, and the two
+// settings beyond a single-source build — profile feedback (Profile) and
+// an incremental statefile (StatePath). See pipeline.Request.
+type Request = pipeline.Request
+
+// Build compiles req; it is the one entry point every compile setting goes
+// through.
+//
+// Several Units are linked into one whole program first (§7 of the paper:
+// extern declarations resolve against the defining unit, so the one-pass
+// inter-procedural allocator sees every body); a single unit compiles
+// as-is.
 //
 // The pipeline is parallel by default: the front end (through the -O2
 // optimizer) is shared across modes through internal/front's source-keyed
 // cache, register allocation proceeds wavefront-parallel over the call
 // graph, and machine code is emitted per function concurrently. Output is
 // byte-identical to the sequential pipeline, which remains reachable via
-// mode.Sequential.
+// Mode.Sequential.
 //
-// Under mode.Validate (on in every mode constructor) the linkage-invariant
+// Under Mode.Validate (on in every mode constructor) the linkage-invariant
 // validator runs after planning and after code generation; a procedure
 // whose plan fails validation is demoted to the safe open convention and
 // the affected call-graph slice replanned, with the interventions recorded
-// on Program.Demotions. mode.Strict turns any such repair into an error.
-func Compile(src string, mode Mode) (*Program, error) {
-	return CompileCtx(context.Background(), src, mode)
-}
-
-// CompileCtx is Compile with a cancellation/deadline context threaded
-// through the validated pipeline (checked at stage boundaries; see
-// pipeline.BuildCtx). It is the primitive the chowd daemon's per-request
-// deadlines are built on. A nil ctx means Background.
-func CompileCtx(ctx context.Context, src string, mode Mode) (*Program, error) {
+// on Program.Demotions. Mode.Strict turns any such repair into an error.
+//
+// Profile implements the paper's stated future work: "The feedback of
+// profile data to the register allocator is a capability that we plan to
+// add in the future" (§8). A training build under the baseline mode runs
+// once recording per-basic-block execution counts, which replace the
+// static 10^loop-depth estimate before the final build; with Mode.Inline
+// set the procedure integrator ranks call sites by those measurements.
+// The compile report then carries the training window separately
+// (CompileReport.Training).
+//
+// StatePath reuses the previous build recorded in that statefile: only the
+// summary-delta frontier of the edit is replanned and re-emitted, and the
+// output is byte-identical to a full build. A missing, corrupt,
+// version-skewed or mode-mismatched statefile degrades to a full
+// recompile, never to a wrong program; the statefile is rewritten to
+// describe the new build when possible.
+//
+// Refused combinations (no units, Profile or Mode.Inline with StatePath)
+// fail before any work with a usage-class *pipeline.RequestError. ctx is
+// checked at pipeline stage boundaries (the chowd daemon's per-request
+// deadlines are built on it); a nil ctx means Background.
+func Build(ctx context.Context, req Request) (*Program, error) {
 	s := obs.Current()
 	snap := s.Snap()
 	var sp obs.Span
 	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "Compile "+mode.Name)
+		sp = s.Span(obs.PhaseCompile, "Compile "+req.Mode.Name)
 	}
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	plan, code, demotions, err := pipeline.BuildCtx(ctx, mod, mode)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
+	res, err := pipeline.Build(ctx, req)
 	sp.End()
-	// plan.Module, not mod: an inlined build that was discarded compiled the
-	// pristine clone, and an inlined build that stuck rewrote mod in place.
-	p := &Program{Mode: mode, Module: plan.Module, Plan: plan, Code: code, Demotions: demotions, Inline: plan.Inline}
-	if s != nil {
-		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: demotions}
+	if err != nil {
+		return nil, err
 	}
-	attachExplain(p)
-	return p, nil
-}
-
-// attachExplain snapshots the active decision journal (if any) onto the
-// program's compile report, so chowcc -json and the explaindiff artifacts
-// fall out of the ordinary report path.
-func attachExplain(p *Program) {
+	// Plan.Module, not the front end's module: an inlined build that was
+	// discarded compiled the pristine clone.
+	p := &Program{Mode: req.Mode, Module: res.Plan.Module, Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions, Inline: res.Plan.Inline}
+	if s != nil {
+		if res.TrainedAt != nil {
+			snap = *res.TrainedAt
+		}
+		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Training: res.Training, Demotions: res.Demotions}
+	}
+	// Snapshot the active decision journal onto the report, so chowcc -json
+	// and the explaindiff artifacts fall out of the ordinary report path. On
+	// the incremental path it covers only the replanned frontier: reused
+	// plans and code were never re-decided this round.
 	if j := explain.Current(); j != nil && p.Report != nil {
 		p.Report.Explain = j.Artifact()
 	}
-}
-
-// CompileIncremental compiles src like Compile, reusing the previous
-// build recorded in the statefile at statePath when one exists. Only the
-// summary-delta frontier of the edit — the changed functions plus the
-// callers reached by a changed register-usage summary or argument-location
-// vector — is replanned and re-emitted; everything else's plan and code
-// are reused verbatim, and the output is byte-identical to a full
-// Compile. A missing, corrupt, version-skewed or mode-mismatched
-// statefile (or any internal surprise on the incremental path) degrades
-// to a full recompile, never to a wrong program. The statefile is
-// rewritten to describe the new build when possible.
-func CompileIncremental(src string, mode Mode, statePath string) (*Program, error) {
-	return CompileIncrementalCtx(context.Background(), src, mode, statePath)
-}
-
-// CompileIncrementalCtx is CompileIncremental with a cancellation/deadline
-// context (see CompileCtx). A nil ctx means Background.
-func CompileIncrementalCtx(ctx context.Context, src string, mode Mode, statePath string) (*Program, error) {
-	s := obs.Current()
-	snap := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "CompileIncremental "+mode.Name)
-	}
-	st, _ := incr.Load(statePath) // any load failure means "no previous state"
-	res, err := pipeline.BuildIncrementalCtx(ctx, src, mode, st)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if res.State != nil {
-		// A failed save only costs the next round its head start.
-		_ = res.State.Save(statePath)
-	}
-	p := &Program{Mode: mode, Module: res.Plan.Module, Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions, Inline: res.Plan.Inline}
-	if s != nil {
-		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: res.Demotions}
-	}
-	// On the incremental path the journal covers only the replanned
-	// frontier: reused plans and code were never re-decided this round.
-	attachExplain(p)
 	return p, nil
+}
+
+// Compile compiles one CW source under the given mode: Build of a
+// single-unit Request.
+func Compile(src string, mode Mode) (*Program, error) {
+	return Build(context.Background(), Request{Units: []string{src}, Mode: mode})
+}
+
+// CompileIncremental compiles src like Compile, reusing the previous build
+// recorded in the statefile at statePath: Build of a single-unit Request
+// with StatePath set.
+func CompileIncremental(src string, mode Mode, statePath string) (*Program, error) {
+	return Build(context.Background(), Request{Units: []string{src}, Mode: mode, StatePath: statePath})
 }
 
 // RunResult is the outcome of executing a compiled program.

@@ -72,6 +72,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -88,12 +89,6 @@ import (
 	"chow88/internal/obs"
 	"chow88/internal/pixie"
 	"chow88/internal/sim"
-)
-
-// Exit codes, one per failure class (shared with the error classifier the
-// chowd daemon maps onto HTTP statuses).
-const (
-	exitUsage = chow88.ExitUsage
 )
 
 // inlineFlag is the -inline[=budget] value: bool-like (bare -inline works)
@@ -180,7 +175,7 @@ func main() {
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: chowcc [flags] file.cw [more.cw ...]")
 		flag.Usage()
-		os.Exit(2)
+		os.Exit(chow88.ExitUsage)
 	}
 	// Multiple files are separate program units linked together (§7 of the
 	// paper); extern declarations resolve against the other units.
@@ -233,21 +228,9 @@ func main() {
 		mode.Name += fmt.Sprintf(" inline=%d", budget)
 	}
 	usePGO := *pgo || inlineOpt.set
-	if usePGO && *incrPath != "" {
-		fmt.Fprintln(os.Stderr, "chowcc: usage error: -pgo/-inline cannot be combined with -incremental")
-		os.Exit(exitUsage)
-	}
-
-	var prog *chow88.Program
-	var err error
-	switch {
-	case *incrPath != "":
-		prog, err = chow88.CompileUnitsIncremental(mode, *incrPath, units...)
-	case usePGO:
-		prog, err = chow88.CompileUnitsProfiled(mode, units...)
-	default:
-		prog, err = chow88.CompileUnits(mode, units...)
-	}
+	prog, err := chow88.Build(context.Background(), chow88.Request{
+		Units: units, Mode: mode, Profile: usePGO, StatePath: *incrPath,
+	})
 	if err != nil {
 		fatal(err)
 	}

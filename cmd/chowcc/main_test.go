@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"chow88"
@@ -84,5 +88,37 @@ func TestInlineFlag(t *testing.T) {
 	}
 	if !(&inlineFlag{}).IsBoolFlag() {
 		t.Error("inlineFlag must be bool-like so bare -inline parses")
+	}
+}
+
+// TestProfileIncrementalRefused: profile feedback (-pgo, or -inline which
+// implies it) cannot be combined with -incremental; chowcc refuses the
+// request as a usage error (exit 2) without writing a statefile.
+func TestProfileIncrementalRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the chowcc binary")
+	}
+	dir := t.TempDir()
+	chowcc := filepath.Join(dir, "chowcc")
+	if out, err := exec.Command("go", "build", "-o", chowcc, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	src := filepath.Join(dir, "p.cw")
+	if err := os.WriteFile(src, []byte("func main() { print(1); }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "f.state")
+	for _, flagName := range []string{"-pgo", "-inline"} {
+		out, err := exec.Command(chowcc, flagName, "-incremental", state, src).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != chow88.ExitUsage {
+			t.Fatalf("chowcc %s -incremental: err %v, want exit %d; output:\n%s", flagName, err, chow88.ExitUsage, out)
+		}
+		if !strings.HasPrefix(string(out), "chowcc: usage error: ") {
+			t.Errorf("chowcc %s -incremental: diagnostic %q, want a usage error", flagName, out)
+		}
+		if _, err := os.Stat(state); err == nil {
+			t.Errorf("chowcc %s -incremental wrote a statefile", flagName)
+		}
 	}
 }

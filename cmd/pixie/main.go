@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +48,7 @@ func main() {
 		fmt.Printf("%-14s %12s %10s %10s %10s %8s\n",
 			"mode", "cycles", "scalar l+s", "save/rest", "aggregate", "calls")
 		for _, m := range modes {
-			prog, err := chow88.Compile(string(src), m)
+			prog, err := chow88.Build(context.Background(), chow88.Request{Units: []string{string(src)}, Mode: m})
 			if err != nil {
 				fatal(fmt.Errorf("[%s] %w", m.Name, err))
 			}
@@ -77,7 +78,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown register configuration %q", *regs))
 	}
-	prog, err := chow88.Compile(string(src), mode)
+	prog, err := chow88.Build(context.Background(), chow88.Request{Units: []string{string(src)}, Mode: mode})
 	if err != nil {
 		fatal(err)
 	}

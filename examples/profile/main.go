@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,22 +45,8 @@ func main() { print(p()); }
 `
 
 func main() {
-	static, err := chow88.Compile(src, chow88.ModeC())
-	if err != nil {
-		log.Fatal(err)
-	}
-	sres, err := static.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	profiled, err := chow88.CompileProfiled(src, chow88.ModeC())
-	if err != nil {
-		log.Fatal(err)
-	}
-	pres, err := profiled.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
+	sres := mustRun(src, chow88.ModeC(), false)
+	pres := mustRun(src, chow88.ModeC(), true)
 	fmt.Printf("static estimates:  output=%v cycles=%d save/restore=%d\n",
 		sres.Output, sres.Stats.Cycles, sres.Stats.SaveRestoreLS())
 	fmt.Printf("profile feedback:  output=%v cycles=%d save/restore=%d\n",
@@ -80,13 +67,7 @@ func main() {
 }
 
 func mustRun(src string, mode chow88.Mode, profile bool) *chow88.RunResult {
-	var prog *chow88.Program
-	var err error
-	if profile {
-		prog, err = chow88.CompileProfiled(src, mode)
-	} else {
-		prog, err = chow88.Compile(src, mode)
-	}
+	prog, err := chow88.Build(context.Background(), chow88.Request{Units: []string{src}, Mode: mode, Profile: profile})
 	if err != nil {
 		log.Fatal(err)
 	}

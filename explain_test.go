@@ -214,7 +214,7 @@ func TestExplainRecordsInlineVerdicts(t *testing.T) {
 	sawRefusal := false
 	for _, p := range benchprog.All() {
 		explain.Begin()
-		prog, err := CompileProfiled(p.Source, mode)
+		prog, err := compileProfiled(p.Source, mode)
 		art := explain.End().Artifact()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -283,7 +283,7 @@ func TestExplainDiffAttribution(t *testing.T) {
 	measure := func(mode Mode) (*explain.Artifact, int64) {
 		t.Helper()
 		explain.Begin()
-		prog, err := CompileProfiled(string(src), mode)
+		prog, err := compileProfiled(string(src), mode)
 		art := explain.End().Artifact()
 		if err != nil {
 			t.Fatalf("compile %s: %v", mode.Name, err)

@@ -1,11 +1,14 @@
 package chow88
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"chow88/internal/benchprog"
+	"chow88/internal/incr"
 	"chow88/internal/pipeline"
 	"chow88/internal/pixie"
 	"chow88/internal/sim"
@@ -61,7 +64,7 @@ func TestInlineDifferentialThreeEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: run: %v", bp.Name, err)
 		}
-		inl, err := CompileInlined(bp.Source, ModeC(), 0)
+		inl, err := compileInlined(bp.Source, ModeC())
 		if err != nil {
 			t.Fatalf("%s: inlined compile: %v", bp.Name, err)
 		}
@@ -115,7 +118,7 @@ func TestInlineCyclesWinModeC(t *testing.T) {
 	}
 	improved, regressed := 0, 0
 	for _, bp := range benchprog.All() {
-		ipra, err := CompileProfiled(bp.Source, ModeC())
+		ipra, err := compileProfiled(bp.Source, ModeC())
 		if err != nil {
 			t.Fatalf("%s: profiled: %v", bp.Name, err)
 		}
@@ -123,7 +126,7 @@ func TestInlineCyclesWinModeC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: profiled run: %v", bp.Name, err)
 		}
-		inl, err := CompileInlined(bp.Source, ModeC(), 0)
+		inl, err := compileInlined(bp.Source, ModeC())
 		if err != nil {
 			t.Fatalf("%s: inlined: %v", bp.Name, err)
 		}
@@ -156,11 +159,13 @@ func TestInlineCyclesWinModeC(t *testing.T) {
 	t.Logf("inlining: %d improved, %d regressed", improved, regressed)
 }
 
-// TestInlineModeSkewFallback is the statefile-fingerprint bugfix test: a
-// state captured without inlining must never serve an inline-mode build
-// (and an inline-mode build must never capture state), so flipping the
-// flag can only force a full rebuild — not silently reuse non-inlined
-// plans.
+// TestInlineModeSkewFallback: inlining rewrites the module after the front
+// end, so a statefile's chunk mapping can never describe an inlined
+// program. An inline-mode incremental build is therefore refused outright —
+// with the usage-class RequestError that Request.Validate gives the same
+// combination — whether or not prior state exists, and no statefile is
+// written. (The inline axis of the mode fingerprint itself stays covered
+// by internal/incr's fingerprint test.)
 func TestInlineModeSkewFallback(t *testing.T) {
 	b := benchprog.Lookup("stanford")
 
@@ -174,32 +179,22 @@ func TestInlineModeSkewFallback(t *testing.T) {
 
 	inlMode := ModeC()
 	inlMode.Inline = true
-	res2, err := pipeline.BuildIncremental(b.Source, inlMode, res.State)
-	if err != nil {
-		t.Fatal(err)
+	for i, st := range []*incr.State{nil, res.State} {
+		_, err := pipeline.BuildIncremental(b.Source, inlMode, st)
+		var re *pipeline.RequestError
+		if !errors.As(err, &re) {
+			t.Fatalf("inline-mode incremental build %d: err %v, want a RequestError", i, err)
+		}
+		if code, _ := ClassifyError(err); code != ExitUsage {
+			t.Errorf("inline-mode incremental build %d classified %d, want %d", i, code, ExitUsage)
+		}
 	}
-	if res2.Incremental {
-		t.Fatal("non-inlined state was reused for an inline-mode build")
-	}
-	if !strings.Contains(res2.FallbackReason, "inlin") {
-		t.Errorf("fallback reason %q does not mention inlining", res2.FallbackReason)
-	}
-	if res2.State != nil {
-		t.Error("inline-mode build captured state (chunk mapping no longer describes the program)")
-	}
-	full, err := Compile(b.Source, inlMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameProgram(t, "inline mode skew", &Program{Code: res2.Prog}, full)
 
-	// The inline axis must also skew the fingerprint itself, so even a
-	// path that only compares fingerprints refuses the crossing.
-	res3, err := pipeline.BuildIncremental(b.Source, inlMode, res.State)
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "inl.state")
+	if _, err := CompileIncremental(b.Source, inlMode, path); err == nil {
+		t.Fatal("CompileIncremental accepted an inline mode")
 	}
-	if res3.Incremental {
-		t.Fatal("second inline-mode build went incremental")
+	if _, err := os.Stat(path); err == nil {
+		t.Error("refused inline-mode build wrote a statefile")
 	}
 }

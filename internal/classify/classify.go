@@ -44,7 +44,10 @@ func Error(err error) (code int, label string) {
 	var fe *codegen.FuncError
 	var trap *sim.Trap
 	var ce *mach.ConfigError
+	var re *pipeline.RequestError
 	switch {
+	case errors.As(err, &re):
+		return ExitUsage, "usage error"
 	case errors.As(err, &ce):
 		return ExitBadConv, "bad convention"
 	case errors.As(err, &se):

@@ -27,9 +27,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -40,8 +38,6 @@ import (
 
 	"chow88/internal/classify"
 	"chow88/internal/faultinject"
-	"chow88/internal/front"
-	"chow88/internal/incr"
 	"chow88/internal/mcode"
 	"chow88/internal/obs"
 	"chow88/internal/pipeline"
@@ -411,24 +407,19 @@ func (s *Server) compile(ctx context.Context, req *Request) (*Response, *mcode.P
 	}
 	sp := s.obs.Span(obs.PhaseCompile, "daemon compile "+mode.Name)
 	defer sp.End()
-	mod, err := front.Module(req.Source, mode.Optimize, !mode.Sequential)
+	res, err := pipeline.Build(ctx, pipeline.Request{Units: []string{req.Source}, Mode: mode})
 	if err != nil {
 		status, resp := errorResponse(err)
 		return nil, nil, status, resp
 	}
-	plan, code, demotions, err := pipeline.BuildCtx(ctx, mod, mode)
-	if err != nil {
-		status, resp := errorResponse(err)
-		return nil, nil, status, resp
-	}
-	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(plan.Funcs), CodeWords: len(code.Code)}
-	for _, d := range demotions {
+	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(res.Plan.Funcs), CodeWords: len(res.Prog.Code)}
+	for _, d := range res.Demotions {
 		resp.Demotions = append(resp.Demotions, d.String())
 	}
 	if req.Disasm {
-		resp.Disasm = code.Disassemble()
+		resp.Disasm = res.Prog.Disassemble()
 	}
-	return resp, code, 0, nil
+	return resp, res.Prog, 0, nil
 }
 
 // compileWork compiles the source and describes the result.
@@ -486,27 +477,21 @@ func (s *Server) incrementalWork(ctx context.Context, req *Request) (int, *Respo
 
 	sp := s.obs.Span(obs.PhaseCompile, "daemon compile-incremental "+mode.Name)
 	defer sp.End()
-	st, lerr := incr.Load(cs.path)
-	res, err := pipeline.BuildIncrementalCtx(ctx, req.Source, mode, st)
+	res, err := pipeline.Build(ctx, pipeline.Request{Units: []string{req.Source}, Mode: mode, StatePath: cs.path})
 	if err != nil {
 		return errorResponse(err)
 	}
-	if res.State != nil {
-		if serr := res.State.Save(cs.path); serr != nil {
-			// Non-fatal: the next round pays a full rebuild. A locked
-			// statefile here would be a daemon bug (cs.mu serializes
-			// writers), so surface it in metrics either way.
-			s.obs.AddLabeled("daemon.state_save_errors", 1)
-		}
+	if res.SaveErr != nil {
+		// Non-fatal: the next round pays a full rebuild. A locked
+		// statefile here would be a daemon bug (cs.mu serializes
+		// writers), so surface it in metrics either way.
+		s.obs.AddLabeled("daemon.state_save_errors", 1)
 	}
 	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(res.Plan.Funcs), CodeWords: len(res.Prog.Code),
 		Incremental: res.Incremental, FallbackReason: res.FallbackReason,
 		Reused: res.Reused, Replanned: res.Replanned}
 	for _, d := range res.Demotions {
 		resp.Demotions = append(resp.Demotions, d.String())
-	}
-	if lerr != nil && !errors.Is(lerr, fs.ErrNotExist) && !res.Incremental {
-		resp.FallbackReason = "statefile rejected: " + lerr.Error()
 	}
 	if req.Disasm {
 		resp.Disasm = res.Prog.Disassemble()

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -40,22 +41,16 @@ func run(src string, mode core.Mode) (*measured, error) {
 	if s != nil {
 		sp = s.Span(obs.PhaseCompile, "Compile "+mode.Name)
 	}
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	_, code, demotions, err := pipeline.Build(mod, mode)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
+	built, err := pipeline.Build(context.Background(), pipeline.Request{Units: []string{src}, Mode: mode})
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	out := &measured{}
 	if s != nil {
-		out.compile = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: demotions}
+		out.compile = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: built.Demotions}
 	}
-	res, err := sim.Run(code, sim.Options{})
+	res, err := sim.Run(built.Prog, sim.Options{})
 	if err != nil {
 		return nil, err
 	}

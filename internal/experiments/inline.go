@@ -6,49 +6,9 @@ import (
 
 	"chow88/internal/benchprog"
 	"chow88/internal/core"
-	"chow88/internal/front"
 	"chow88/internal/inline"
-	"chow88/internal/obs"
-	"chow88/internal/pipeline"
 	"chow88/internal/pixie"
-	"chow88/internal/sim"
 )
-
-// runInlined is runProfiled with the procedure integrator enabled: the same
-// baseline training run attaches measured block frequencies, and the final
-// build inlines hot call sites from those measurements before planning. It
-// additionally returns the integrator's report (nil if the inlined build was
-// discarded by graceful degradation).
-func runInlined(src string, mode core.Mode, budget int) (*pixie.Stats, []int64, *obs.InlineReport, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	train := core.ModeBase()
-	train.Optimize = mode.Optimize
-	train.Validate = mode.Validate
-	_, trainCode, _, err := pipeline.Build(mod, train)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	applyCounts(mod, trainCode, trainRes.InstrCounts)
-
-	mode.Inline = true
-	mode.InlineBudget = budget
-	pp, code, _, err := pipeline.Build(mod, mode)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := sim.Run(code, sim.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &res.Stats, res.Output, pp.Inline, nil
-}
 
 // InlineVsIPRA extends the paper's Table 2 question — where does the call
 // penalty go? — to its limit case: under mode C with profile feedback, how
@@ -66,15 +26,20 @@ func InlineVsIPRA() (string, error) {
 	b.WriteString("  -----------+--------------+--------------+-------+----------+--------+-------+-------\n")
 	improved, regressed := 0, 0
 	var worst float64
+	inlMode := core.ModeC()
+	inlMode.Inline = true
+	inlMode.InlineBudget = inline.DefaultBudget
 	for _, bench := range benchprog.All() {
-		ipra, outI, err := runProfiled(bench.Source, core.ModeC())
+		ipraRun, _, err := runProfiled(bench.Source, core.ModeC())
 		if err != nil {
 			return "", fmt.Errorf("%s ipra: %w", bench.Name, err)
 		}
-		inl, outN, rep, err := runInlined(bench.Source, core.ModeC(), inline.DefaultBudget)
+		inlRun, rep, err := runProfiled(bench.Source, inlMode)
 		if err != nil {
 			return "", fmt.Errorf("%s inline: %w", bench.Name, err)
 		}
+		ipra, outI := &ipraRun.Stats, ipraRun.Output
+		inl, outN := &inlRun.Stats, inlRun.Output
 		if len(outI) != len(outN) {
 			return "", fmt.Errorf("%s: output diverged", bench.Name)
 		}

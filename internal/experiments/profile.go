@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"chow88/internal/benchprog"
 	"chow88/internal/core"
-	"chow88/internal/front"
-	"chow88/internal/ir"
-	"chow88/internal/mcode"
+	"chow88/internal/obs"
 	"chow88/internal/pipeline"
 	"chow88/internal/pixie"
 	"chow88/internal/sim"
@@ -16,53 +15,20 @@ import (
 
 // runProfiled compiles src under mode with profile feedback from a baseline
 // training run (the paper's §8 future-work capability) and executes it.
-// The cached front end returns a private clone, so the profile counts
-// written onto the module never leak into other compilations.
-func runProfiled(src string, mode core.Mode) (*pixie.Stats, []int64, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
+// With mode.Inline set the final build also runs the procedure integrator
+// on the measured frequencies, and the integrator's report is returned
+// (nil otherwise, or when the inlined build was discarded by graceful
+// degradation).
+func runProfiled(src string, mode core.Mode) (*sim.Result, *obs.InlineReport, error) {
+	built, err := pipeline.Build(context.Background(), pipeline.Request{Units: []string{src}, Mode: mode, Profile: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	train := core.ModeBase()
-	train.Optimize = mode.Optimize
-	train.Validate = mode.Validate
-	_, trainCode, _, err := pipeline.Build(mod, train)
+	res, err := sim.Run(built.Prog, sim.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	applyCounts(mod, trainCode, trainRes.InstrCounts)
-
-	_, code, _, err := pipeline.Build(mod, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.Run(code, sim.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &res.Stats, res.Output, nil
-}
-
-func applyCounts(mod *ir.Module, code *mcode.Program, counts []int64) {
-	for _, fi := range code.Funcs {
-		if fi.Extern {
-			continue
-		}
-		f := mod.Lookup(fi.Name)
-		byID := map[int]*ir.Block{}
-		for _, b := range f.Blocks {
-			byID[b.ID] = b
-		}
-		for _, span := range fi.Blocks {
-			if b := byID[span.BlockID]; b != nil && span.Start < len(counts) {
-				b.SetProfile(counts[span.Start])
-			}
-		}
-	}
+	return res, built.Plan.Inline, nil
 }
 
 // ProfileFeedback measures the suite under mode C with static loop-depth
@@ -85,10 +51,11 @@ func ProfileFeedback() (string, error) {
 			return "", fmt.Errorf("%s static: %w", bench.Name, err)
 		}
 		static, outS := staticRun.stats, staticRun.output
-		prof, outP, err := runProfiled(bench.Source, core.ModeC())
+		profRun, _, err := runProfiled(bench.Source, core.ModeC())
 		if err != nil {
 			return "", fmt.Errorf("%s profiled: %w", bench.Name, err)
 		}
+		prof, outP := &profRun.Stats, profRun.Output
 		for i := range wantOut {
 			if outS[i] != wantOut[i] || outP[i] != wantOut[i] {
 				return "", fmt.Errorf("%s: output diverged", bench.Name)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -64,15 +65,11 @@ func SweepWorkload(n int) ([]Workload, error) {
 // sweep candidates run concurrently and per-measurement reports would
 // interleave.
 func sweepRun(src string, mode core.Mode) (*pixie.Stats, []int64, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
+	built, err := pipeline.Build(context.Background(), pipeline.Request{Units: []string{src}, Mode: mode})
 	if err != nil {
 		return nil, nil, err
 	}
-	_, code, _, err := pipeline.Build(mod, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.Run(code, sim.Options{})
+	res, err := sim.Run(built.Prog, sim.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -443,27 +440,26 @@ func tuneProgram(name, src string, base *mach.Config, pool []*mach.Config) (*Tun
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	_, trainCode, _, err := pipeline.Build(mod, core.ModeBase())
+	trainCode, trainRes, err := pipeline.Train(context.Background(), mod, core.ModeConv(base))
 	if err != nil {
-		return nil, fmt.Errorf("%s [train]: %w", name, err)
-	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		return nil, fmt.Errorf("%s [train]: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	wantOut := trainRes.Output
 
 	row := &TuneRow{Program: name, Evaluated: len(pool)}
 	baseSpec := base.Spec()
 	for _, cfg := range pool {
-		// A fresh clone per candidate: applyCounts writes block profiles onto
-		// the module, and the cached front end hands each call a private copy.
+		// A fresh clone per candidate: ApplyProfile writes block profiles
+		// onto the module, and the cached front end hands each call a
+		// private copy.
 		m, err := front.Module(src, true, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		applyCounts(m, trainCode, trainRes.InstrCounts)
-		_, code, _, err := pipeline.Build(m, core.ModeConv(cfg))
+		if err := pipeline.ApplyProfile(m, trainCode, trainRes); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		_, code, _, err := pipeline.BuildCtx(context.Background(), m, core.ModeConv(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("%s [%s]: %w", name, cfg.Spec(), err)
 		}

@@ -173,10 +173,10 @@ func (j *Journal) DropPlacements() {
 	}
 }
 
-// Reset clears everything recorded so far. CompileProfiled resets between
-// the training and final builds so the artifact describes the program
-// actually shipped; the pipeline resets before an inline retreat's rebuild
-// for the same reason (re-recording the retreat itself afterwards).
+// Reset clears everything recorded so far. A profile-feedback build resets
+// between the training and final builds so the artifact describes the
+// program actually shipped; the pipeline resets before an inline retreat's
+// rebuild for the same reason (re-recording the retreat itself afterwards).
 func (j *Journal) Reset() {
 	if j == nil {
 		return

@@ -1,7 +1,10 @@
 // Package pipeline orchestrates the validated middle/back end: register
 // allocation (core.PlanModule), the linkage-invariant validator
 // (internal/check) and code generation (internal/codegen), connected by
-// the graceful-degradation loop.
+// the graceful-degradation loop. Build(ctx, Request) is the compile entry
+// point: it links source units, runs the profile-feedback training build
+// and drives incremental statefiles around BuildCtx, the validated build
+// of one front-end module.
 //
 // Per procedure the degradation ladder is:
 //
@@ -82,7 +85,7 @@ type offender struct {
 	reason string
 }
 
-// Build plans, validates and generates code for mod. With mode.Validate
+// BuildCtx plans, validates and generates code for mod. With mode.Validate
 // off it is exactly PlanModule + Generate. With it on, validation runs
 // after planning and after code generation, worker panics are contained,
 // and offending procedures degrade per the ladder; every intervention is
@@ -97,14 +100,10 @@ type offender struct {
 // un-inlining cannot be expressed once blocks are spliced. The returned
 // plan's Module is the module actually compiled; with a discard that is
 // the clone, not mod.
-func Build(mod *ir.Module, mode core.Mode) (*core.ProgramPlan, *mcode.Program, []obs.Demotion, error) {
-	return BuildCtx(context.Background(), mod, mode)
-}
-
-// BuildCtx is Build with a cancellation/deadline context threaded through:
-// the pipeline checks ctx at every stage boundary (before the inline pass,
-// before planning, at the top of every degradation round, before code
-// generation), so a canceled compile returns ctx.Err() — wrapped in
+//
+// The pipeline checks ctx at every stage boundary (before the inline
+// pass, before planning, at the top of every degradation round, before
+// code generation), so a canceled compile returns ctx.Err() — wrapped in
 // ErrCanceled for classification — within one stage's worth of work
 // rather than running to completion. The stages themselves are not
 // preemptible; overshoot is bounded by the longest single stage, which the
@@ -246,7 +245,7 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 // described by st, from incr.Capture or a statefile — as the edit allows.
 // Unchanged functions whose callees republish byte-identical linkage keep
 // their plans and code verbatim; only the summary-delta frontier is
-// replanned and re-emitted. The output is byte-identical to Build on a
+// replanned and re-emitted. The output is byte-identical to BuildCtx on a
 // full front-end of src.
 //
 // st may be nil (first build). Whenever the incremental path cannot run —
@@ -255,38 +254,27 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 // build (counted on obs as incr.full_rebuilds) with FallbackReason set.
 // The returned state describes the new revision for the next round; it is
 // nil when the build degraded (demotions) or the source resists chunking.
-func BuildIncremental(src string, mode core.Mode, st *incr.State) (*IncrementalResult, error) {
-	return BuildIncrementalCtx(context.Background(), src, mode, st)
+// An inlining mode is refused with the *RequestError Request.Validate
+// gives it.
+func BuildIncremental(src string, mode core.Mode, st *incr.State) (*Result, error) {
+	return buildIncremental(context.Background(), src, mode, st)
 }
 
-// BuildIncrementalCtx is BuildIncremental with a cancellation/deadline
-// context, checked at the same stage-boundary granularity as BuildCtx
-// (the incremental replan itself is one stage). A nil ctx means
-// Background.
-func BuildIncrementalCtx(ctx context.Context, src string, mode core.Mode, st *incr.State) (*IncrementalResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func buildIncremental(ctx context.Context, src string, mode core.Mode, st *incr.State) (*Result, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	if err := validateMode(mode); err != nil {
 		return nil, err
 	}
-	// Inlining rewrites the module after the front end, so the statefile's
-	// chunk-to-function correspondence no longer describes the compiled
-	// program: never reuse prior state and never capture new state under
-	// it. (The mode fingerprint rejects cross-mode reuse anyway; this gate
-	// makes the policy explicit and skips the work.)
 	if mode.Inline {
-		obs.Current().Add(obs.CIncrFullRebuild, 1)
-		return fullBuildIncremental(ctx, src, mode, "inlining enabled")
+		return nil, errInlineState
 	}
 	reason := "no previous state"
 	if st != nil {
 		out, r := incr.Apply(src, mode, st)
 		if out != nil {
-			return &IncrementalResult{
+			return &Result{
 				Plan: out.Plan, Prog: out.Prog, State: out.State,
 				Incremental: true, Replanned: out.Replanned, Reused: out.Reused,
 			}, nil
@@ -294,31 +282,6 @@ func BuildIncrementalCtx(ctx context.Context, src string, mode core.Mode, st *in
 		reason = r
 	}
 	obs.Current().Add(obs.CIncrFullRebuild, 1)
-	return fullBuildIncremental(ctx, src, mode, reason)
-}
-
-// IncrementalResult is BuildIncremental's outcome.
-type IncrementalResult struct {
-	Plan *core.ProgramPlan
-	Prog *mcode.Program
-	// State describes this build for the next incremental round; nil when
-	// none could be captured.
-	State *incr.State
-	// Incremental reports whether the incremental path was taken;
-	// FallbackReason explains a full rebuild ("no previous state" on a
-	// first build), empty otherwise.
-	Incremental    bool
-	FallbackReason string
-	// Replanned/Reused count defined functions on the incremental path.
-	Replanned, Reused int
-	// Demotions from the full build's degradation ladder (always empty on
-	// the incremental path, which does not degrade — it falls back).
-	Demotions []obs.Demotion
-}
-
-// fullBuildIncremental is the fallback: a clean full build plus a state
-// capture for the next round.
-func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reason string) (*IncrementalResult, error) {
 	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
 	if err != nil {
 		return nil, err
@@ -327,11 +290,10 @@ func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reaso
 	if err != nil {
 		return nil, err
 	}
-	res := &IncrementalResult{Plan: pp, Prog: prog, FallbackReason: reason, Demotions: demotions}
+	res := &Result{Plan: pp, Prog: prog, FallbackReason: reason, Demotions: demotions}
 	// A degraded plan reflects this build's repair history, not a function
 	// of the source alone; don't let it seed future incremental rounds.
-	// Inlined builds never capture: see BuildIncremental.
-	if len(demotions) == 0 && !mode.Inline {
+	if len(demotions) == 0 {
 		if st, err := incr.Capture(src, mode, pp); err == nil {
 			res.State = st
 		}

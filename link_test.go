@@ -1,10 +1,45 @@
 package chow88
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"chow88/internal/ast"
+	"chow88/internal/parser"
+	"chow88/internal/pipeline"
 )
+
+// compileUnits is Build of a multi-unit Request: the units are linked (§7)
+// and compiled as one whole program.
+func compileUnits(mode Mode, srcs ...string) (*Program, error) {
+	return Build(context.Background(), Request{Units: srcs, Mode: mode})
+}
+
+// compileSeparate compiles the units without cross-unit knowledge, the
+// paper's separate-compilation regime: every function another unit imports
+// (extern) is forced open, so its callers must assume the default linkage.
+// The units still share one executable image (the calls must resolve
+// somewhere), making the open/closed difference measurable: same program,
+// same image, different allocator knowledge.
+func compileSeparate(mode Mode, srcs ...string) (*Program, error) {
+	seen := map[string]bool{}
+	for _, src := range srcs {
+		unit, err := parser.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range unit.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Extern && !seen[fd.Name] {
+				seen[fd.Name] = true
+				mode.ForceOpen = append(mode.ForceOpen, fd.Name)
+			}
+		}
+	}
+	return compileUnits(mode, srcs...)
+}
 
 const unitMath = `
 func square(x int) int { return x * x; }
@@ -25,7 +60,7 @@ func main() {
 // units (§7), and the linked whole program allocates inter-procedurally —
 // the imported functions become closed.
 func TestLinkUnits(t *testing.T) {
-	prog, err := CompileUnits(ModeC(), unitMath, unitMain)
+	prog, err := compileUnits(ModeC(), unitMath, unitMain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +82,11 @@ func TestLinkUnits(t *testing.T) {
 // the program still runs identically — only the allocator's knowledge
 // differs.
 func TestCompileSeparate(t *testing.T) {
-	linked, err := CompileUnits(ModeC(), unitMath, unitMain)
+	linked, err := compileUnits(ModeC(), unitMath, unitMain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep, err := CompileSeparate(ModeC(), unitMath, unitMain)
+	sep, err := compileSeparate(ModeC(), unitMath, unitMain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,18 +114,19 @@ func TestCompileSeparate(t *testing.T) {
 }
 
 func TestLinkErrors(t *testing.T) {
-	if _, err := LinkUnits(); err == nil {
-		t.Error("no units must fail")
+	var re *pipeline.RequestError
+	if _, err := compileUnits(ModeC()); !errors.As(err, &re) {
+		t.Errorf("no units must fail as a refused request, got %v", err)
 	}
-	_, err := LinkUnits("func f() int { return 1; } func main() {}", "func f() int { return 2; }")
+	_, err := pipeline.LinkUnits("func f() int { return 1; } func main() {}", "func f() int { return 2; }")
 	if err == nil || !strings.Contains(err.Error(), "defined in unit") {
 		t.Errorf("duplicate definition not caught: %v", err)
 	}
-	_, err = LinkUnits("var g int; func main() {}", "var g int;")
+	_, err = pipeline.LinkUnits("var g int; func main() {}", "var g int;")
 	if err == nil || !strings.Contains(err.Error(), "global g") {
 		t.Errorf("duplicate global not caught: %v", err)
 	}
-	if _, err := LinkUnits("func f( {"); err == nil {
+	if _, err := pipeline.LinkUnits("func f( {"); err == nil {
 		t.Error("parse errors must propagate")
 	}
 }
@@ -98,7 +134,7 @@ func TestLinkErrors(t *testing.T) {
 // TestLinkKeepsTrueExterns: an extern no unit defines stays extern and
 // calling it traps, as in single-unit compilation.
 func TestLinkKeepsTrueExterns(t *testing.T) {
-	prog, err := CompileUnits(ModeC(), `
+	prog, err := compileUnits(ModeC(), `
 extern func mystery(x int) int;
 func main() { print(mystery(1)); }`)
 	if err != nil {
@@ -118,7 +154,7 @@ func mid(x int) int { return base(x) * 2; }`
 	u3 := `
 extern func mid(x int) int;
 func main() { print(mid(10)); }`
-	prog, err := CompileUnits(ModeC(), u1, u2, u3)
+	prog, err := compileUnits(ModeC(), u1, u2, u3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,13 +142,13 @@ func TestFallbackReasonSurfaced(t *testing.T) {
 func TestCompileProfiledReports(t *testing.T) {
 	obs.Begin(obs.Options{})
 	defer obs.End()
-	prog, err := CompileProfiled(benchprog.All()[0].Source, ModeC())
+	prog, err := compileProfiled(benchprog.All()[0].Source, ModeC())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cr := prog.Report
 	if cr == nil || cr.Training == nil {
-		t.Fatal("CompileProfiled did not attach a report with a training window")
+		t.Fatal("profile-feedback build did not attach a report with a training window")
 	}
 	if cr.Training.PhaseNanos("run") == 0 {
 		t.Errorf("training window shows no simulator run:\n%s", cr.Table())

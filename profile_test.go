@@ -1,12 +1,25 @@
 package chow88
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"chow88/internal/benchprog"
 	"chow88/internal/progen"
 )
+
+// compileProfiled is Build of a single-unit profile-feedback Request.
+func compileProfiled(src string, mode Mode) (*Program, error) {
+	return Build(context.Background(), Request{Units: []string{src}, Mode: mode, Profile: true})
+}
+
+// compileInlined is compileProfiled with the procedure integrator on at its
+// default budget.
+func compileInlined(src string, mode Mode) (*Program, error) {
+	mode.Inline = true
+	return compileProfiled(src, mode)
+}
 
 // TestProfiledCompilationCorrect: profile feedback must never change
 // program semantics, across the suite and random programs.
@@ -18,7 +31,7 @@ func TestProfiledCompilationCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := CompileProfiled(b.Source, ModeC())
+			prog, err := compileProfiled(b.Source, ModeC())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -44,7 +57,7 @@ func TestProfiledRandomPrograms(t *testing.T) {
 		if !ok {
 			continue
 		}
-		prog, err := CompileProfiled(src, ModeC())
+		prog, err := compileProfiled(src, ModeC())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -99,7 +112,7 @@ func main() { print(p()); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := CompileProfiled(src, ModeC())
+	profiled, err := compileProfiled(src, ModeC())
 	if err != nil {
 		t.Fatal(err)
 	}
