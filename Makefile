@@ -91,15 +91,16 @@ chowd:
 # Convention gate: the enumerator/spec/validator unit tests, the
 # differential suite at the partition-space extremes (0- and 6-parameter
 # conventions, all-caller and all-callee partitions, validator in strict
-# mode), and the sweep smoke — a sampled convention set over a 3-program
-# workload with explain-journal attribution and parallel/sequential
-# byte-determinism, plus the per-program profile-guided selection gate
-# (never regress vs the default convention, beat it somewhere). Also
+# mode), and the tuner tests — a sampled convention set over a 3-program
+# workload with explain-journal attribution, an aligned report and
+# parallel/sequential byte-determinism, rejected candidates with their
+# reasons, the never-regress gate over the suite (no program loses to the
+# default convention, one beats it), and the shared output check. Also
 # exercised by plain `make test`; this target runs the slice alone.
 sweep:
 	$(GO) test ./internal/mach
 	$(GO) test -run 'TestConvention' ./
-	$(GO) test -run 'TestSweep|TestSampleConventions|TestTune' -v ./internal/experiments
+	$(GO) test -run 'TestTune|TestSampleConventions|TestSameOutput' -v ./internal/experiments
 
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
@@ -114,7 +115,7 @@ fuzz:
 # check, build, the race-enabled test suite (./... includes the incr, front and daemon packages, so the
 # incremental driver's and admission queue's concurrency run under the
 # detector), the incremental differential suite, the chowd end-to-end
-# gate, the convention-sweep gate, a one-iteration smoke of the compile,
+# gate, the convention-tuner gate, a one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner, daemon-saturation
 # and convention benchmarks (via benchjson, which also refreshes the
 # $(BENCH) trajectory snapshot), the obs- and explain-disabled

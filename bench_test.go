@@ -10,6 +10,7 @@ import (
 	"chow88/internal/experiments"
 	"chow88/internal/front"
 	"chow88/internal/ir"
+	"chow88/internal/mach"
 	"chow88/internal/pipeline"
 	"chow88/internal/sim"
 )
@@ -367,30 +368,31 @@ func BenchmarkHeightSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvention snapshots the calling-convention auto-tuner's
-// headline into the benchjson trajectory: a sampled sweep over a 3-program
-// workload selects a winner, and the default convention and that winner are
-// then measured side by side so successive BENCH_*.json files show whether
-// the swept partition keeps its edge as the compiler evolves.
+// BenchmarkConvention snapshots the calling-convention tuner's headline
+// into the benchjson trajectory: a sampled tuner run over a 3-program
+// workload selects the best single convention for the workload, and the
+// default convention and that winner are then measured side by side so
+// successive BENCH_*.json files show whether the tuned partition keeps its
+// edge as the compiler evolves.
 func BenchmarkConvention(b *testing.B) {
 	var wl []experiments.Workload
 	for _, p := range benchprog.All()[:3] {
 		wl = append(wl, experiments.Workload{Name: p.Name, Source: p.Source})
 	}
-	rep, err := experiments.Sweep(experiments.SampleConventions(8), wl, 0)
+	rep, err := experiments.Tune(experiments.SampleConventions(8), wl, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, r := range []struct {
 		key string
-		row *experiments.SweepRow
-	}{{"default", rep.Base}, {"winner", rep.Winner()}} {
+		cfg *mach.Config
+	}{{"default", rep.Candidates[0]}, {"winner", rep.Whole.Best}} {
 		b.Run(r.key, func(b *testing.B) {
 			var cycles, saveLS, linkage int64
 			for i := 0; i < b.N; i++ {
 				cycles, saveLS, linkage = 0, 0, 0
 				for _, w := range wl {
-					prog, err := Compile(w.Source, ModeConv(r.row.Cfg))
+					prog, err := Compile(w.Source, ModeConv(r.cfg))
 					if err != nil {
 						b.Fatalf("%s: %v", w.Name, err)
 					}

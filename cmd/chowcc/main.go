@@ -349,6 +349,19 @@ func printPlan(pp *core.ProgramPlan) {
 			}
 		}
 	}
+	// An incremental build plans only its replanned frontier; every other
+	// definition kept the statefile's plan and code.
+	var reused []string
+	for _, f := range pp.Order {
+		if !f.Extern && pp.Funcs[f] == nil {
+			reused = append(reused, f.Name)
+		}
+	}
+	if len(reused) > 0 {
+		sort.Strings(reused)
+		fmt.Printf("\n%d function(s) reused from the statefile, plans not recomputed: %s\n",
+			len(reused), strings.Join(reused, " "))
+	}
 }
 
 // fatal prints the structured one-line diagnostic for err and exits with

@@ -98,11 +98,7 @@ func TestProfileIncrementalRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the chowcc binary")
 	}
-	dir := t.TempDir()
-	chowcc := filepath.Join(dir, "chowcc")
-	if out, err := exec.Command("go", "build", "-o", chowcc, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, chowcc := buildChowcc(t)
 	src := filepath.Join(dir, "p.cw")
 	if err := os.WriteFile(src, []byte("func main() { print(1); }\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -119,6 +115,39 @@ func TestProfileIncrementalRefused(t *testing.T) {
 		}
 		if _, err := os.Stat(state); err == nil {
 			t.Errorf("chowcc %s -incremental wrote a statefile", flagName)
+		}
+	}
+}
+
+// buildChowcc builds the binary into a fresh temporary directory and
+// returns both.
+func buildChowcc(t *testing.T) (dir, chowcc string) {
+	t.Helper()
+	dir = t.TempDir()
+	chowcc = filepath.Join(dir, "chowcc")
+	if out, err := exec.Command("go", "build", "-o", chowcc, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, chowcc
+}
+
+// TestPlanIncrementalReused: -plan on an incremental build that reused
+// every function says so instead of printing an empty plan.
+func TestPlanIncrementalReused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the chowcc binary")
+	}
+	dir, chowcc := buildChowcc(t)
+	src := filepath.Join(dir, "p.cw")
+	prog := "func f(n int) int { return n + 1; }\nfunc main() { print(f(1)); }\n"
+	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "p.state")
+	for round, want := range []string{"\nf: closed", "2 function(s) reused from the statefile, plans not recomputed: f main"} {
+		out, err := exec.Command(chowcc, "-O3", "-incremental", state, "-plan", src).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), want) {
+			t.Errorf("round %d: err %v, want %q in:\n%s", round+1, err, want, out)
 		}
 	}
 }

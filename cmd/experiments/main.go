@@ -1,11 +1,11 @@
 // Command experiments regenerates the paper's evaluation: Table 1,
 // Table 2, the Figure 1–4 demonstrations, and the extensions (profile
-// feedback, inlining, the calling-convention sweep and per-program tuner).
+// feedback, inlining, the calling-convention tuner).
 //
 // Usage:
 //
 //	experiments [-table1] [-table2] [-fig1] [-fig2] [-fig3] [-fig4]
-//	            [-height] [-profile] [-inline] [-sweep] [-tune] [-all]
+//	            [-height] [-profile] [-inline] [-tune] [-all]
 package main
 
 import (
@@ -27,13 +27,12 @@ func main() {
 	height := flag.Bool("height", false, "run the call-graph-height ablation (D vs E crossover)")
 	profile := flag.Bool("profile", false, "measure profile feedback vs static frequency estimates")
 	inl := flag.Bool("inline", false, "measure profile-guided inlining vs IPRA with pixie attribution")
-	sweep := flag.Bool("sweep", false, "sweep sampled calling conventions over the suite (chowtune has the full controls)")
-	tune := flag.Bool("tune", false, "profile-guided per-program convention selection over a sampled candidate set")
+	tune := flag.Bool("tune", false, "tune sampled calling conventions per program and for the whole workload (chowtune has the full controls)")
 	all := flag.Bool("all", false, "run everything")
 	stats := flag.Bool("stats", false, "collect and print per-measurement compile/run metrics")
 	flag.Parse()
 
-	if !(*t1 || *t2 || *f1 || *f2 || *f3 || *f4 || *height || *profile || *inl || *sweep || *tune) {
+	if !(*t1 || *t2 || *f1 || *f2 || *f3 || *f4 || *height || *profile || *inl || *tune) {
 		*all = true
 	}
 	if *stats {
@@ -83,23 +82,12 @@ func main() {
 		{*all || *height, experiments.HeightSweep},
 		{*all || *profile, experiments.ProfileFeedback},
 		{*all || *inl, experiments.InlineVsIPRA},
-		{*all || *sweep, func() (string, error) {
-			wl, err := experiments.SweepWorkload(4)
-			if err != nil {
-				return "", err
-			}
-			rep, err := experiments.Sweep(experiments.SampleConventions(24), wl, 0)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatSweep(rep), nil
-		}},
 		{*all || *tune, func() (string, error) {
-			rows, err := experiments.Tune(experiments.SampleConventions(16), 0)
+			rep, err := experiments.Tune(experiments.SampleConventions(24), experiments.TuneWorkload(4), 0)
 			if err != nil {
 				return "", err
 			}
-			return experiments.FormatTune(rows), nil
+			return experiments.FormatTune(rep), nil
 		}},
 	} {
 		if !fg.on {

@@ -487,7 +487,13 @@ func (s *Server) incrementalWork(ctx context.Context, req *Request) (int, *Respo
 		// writers), so surface it in metrics either way.
 		s.obs.AddLabeled("daemon.state_save_errors", 1)
 	}
-	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(res.Plan.Funcs), CodeWords: len(res.Prog.Code),
+	// An incremental plan holds only the replanned frontier; Replanned and
+	// Reused together count every definition, as a full build's plan does.
+	funcs := len(res.Plan.Funcs)
+	if res.Incremental {
+		funcs = res.Replanned + res.Reused
+	}
+	resp := &Response{OK: true, Mode: mode.Name, Funcs: funcs, CodeWords: len(res.Prog.Code),
 		Incremental: res.Incremental, FallbackReason: res.FallbackReason,
 		Reused: res.Reused, Replanned: res.Replanned}
 	for _, d := range res.Demotions {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"chow88"
+	"chow88/internal/benchprog"
 	"chow88/internal/classify"
 )
 
@@ -305,6 +306,32 @@ func TestIncremental(t *testing.T) {
 	_, _, metrics := getStatus(t, ts.URL+"/metrics")
 	if !strings.Contains(string(metrics), "daemon.state_evictions") {
 		t.Errorf("metrics missing state eviction counter:\n%s", metrics)
+	}
+}
+
+// TestIncrementalFuncs: a reused incremental build reports every
+// definition in funcs, as /compile does for the same source, not just the
+// (here empty) replanned frontier.
+func TestIncrementalFuncs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	var src string
+	for _, b := range benchprog.All() {
+		if b.Name == "stanford" {
+			src = b.Source
+		}
+	}
+	status, _, full := postJSON(t, ts.URL+"/compile", reqBody(t, Request{Source: src}))
+	if status != 200 || full.Funcs == 0 {
+		t.Fatalf("/compile: status %d, resp %+v", status, full)
+	}
+	for round := 1; round <= 2; round++ {
+		status, _, r := postJSON(t, ts.URL+"/compile-incremental", reqBody(t, Request{Source: src, Client: "dave"}))
+		if status != 200 || r.Funcs != full.Funcs {
+			t.Errorf("round %d: status %d, funcs %d, /compile says %d (%+v)", round, status, r.Funcs, full.Funcs, r)
+		}
+		if round == 2 && (!r.Incremental || r.Reused != full.Funcs) {
+			t.Errorf("unchanged source should reuse every function: %+v", r)
+		}
 	}
 }
 

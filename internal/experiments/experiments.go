@@ -128,13 +128,8 @@ func RunSuite(keys []string) ([]*Measurement, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s [%s]: %w", b.Name, k, err)
 			}
-			if len(got.output) != len(wantOut) {
-				return nil, fmt.Errorf("%s [%s]: output diverged", b.Name, k)
-			}
-			for i := range got.output {
-				if got.output[i] != wantOut[i] {
-					return nil, fmt.Errorf("%s [%s]: output diverged at %d", b.Name, k, i)
-				}
+			if err := sameOutput(got.output, wantOut); err != nil {
+				return nil, fmt.Errorf("%s [%s]: %w", b.Name, k, err)
 			}
 			m.ByMode[k] = got.stats
 			m.noteObs(k, got)
@@ -142,6 +137,20 @@ func RunSuite(keys []string) ([]*Measurement, error) {
 		out = append(out, m)
 	}
 	return out, nil
+}
+
+// sameOutput reports how a measured run's output departs from the
+// reference output: the first differing value, or a different length.
+func sameOutput(got, want []int64) error {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Errorf("output diverged at %d: got %d, want %d", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("output diverged: %d values, want %d", len(got), len(want))
+	}
+	return nil
 }
 
 // noteObs files one measurement's obs reports under the given mode key.

@@ -40,13 +40,8 @@ func InlineVsIPRA() (string, error) {
 		}
 		ipra, outI := &ipraRun.Stats, ipraRun.Output
 		inl, outN := &inlRun.Stats, inlRun.Output
-		if len(outI) != len(outN) {
-			return "", fmt.Errorf("%s: output diverged", bench.Name)
-		}
-		for i := range outI {
-			if outI[i] != outN[i] {
-				return "", fmt.Errorf("%s: output diverged at %d", bench.Name, i)
-			}
+		if err := sameOutput(outN, outI); err != nil {
+			return "", fmt.Errorf("%s inline: %w", bench.Name, err)
 		}
 		delta := pixie.PercentReduction(ipra.Cycles, inl.Cycles)
 		if inl.Cycles < ipra.Cycles {

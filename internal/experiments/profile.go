@@ -56,10 +56,11 @@ func ProfileFeedback() (string, error) {
 			return "", fmt.Errorf("%s profiled: %w", bench.Name, err)
 		}
 		prof, outP := &profRun.Stats, profRun.Output
-		for i := range wantOut {
-			if outS[i] != wantOut[i] || outP[i] != wantOut[i] {
-				return "", fmt.Errorf("%s: output diverged", bench.Name)
-			}
+		if err := sameOutput(outS, wantOut); err != nil {
+			return "", fmt.Errorf("%s static: %w", bench.Name, err)
+		}
+		if err := sameOutput(outP, wantOut); err != nil {
+			return "", fmt.Errorf("%s profiled: %w", bench.Name, err)
 		}
 		fmt.Fprintf(&b, "  %-10s | %12.1f | %14.1f | %11.1f | %12.1f\n",
 			bench.Name,
